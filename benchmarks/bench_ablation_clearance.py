@@ -18,6 +18,7 @@ from repro.asm import assemble
 from repro.dift.engine import RECORD
 from repro.policy import SecurityPolicy, builders
 from repro.sw import runtime
+from repro.vp.config import PlatformConfig
 from repro.vp.platform import Platform
 
 _VARIANTS = {
@@ -48,7 +49,8 @@ def test_clearance_cost(benchmark, variant):
     program = primes.build(limit=2500)
 
     def run():
-        platform = Platform(policy=_policy(_VARIANTS[variant]))
+        platform = Platform.from_config(
+            PlatformConfig(policy=_policy(_VARIANTS[variant])))
         platform.load(program)
         result = platform.run()
         assert result.exit_code == 0
@@ -96,7 +98,8 @@ def _run_detection(source: str, execution) -> bool:
     policy = _policy(execution)
     policy.classify_region(program.symbol("secret"),
                            program.symbol("secret") + 4, builders.HC_HI)
-    platform = Platform(policy=policy, engine_mode=RECORD)
+    platform = Platform.from_config(
+        PlatformConfig(policy=policy, engine_mode=RECORD))
     platform.load(program)
     result = platform.run(max_instructions=100_000)
     return result.detected
@@ -156,7 +159,8 @@ class TestCoverage:
             program, attacker_input = wk_suite.build_attack(3)
             policy = code_injection_policy(program)
             policy.set_execution_clearance()  # all checks off
-            platform = Platform(policy=policy, engine_mode=RECORD)
+            platform = Platform.from_config(
+                PlatformConfig(policy=policy, engine_mode=RECORD))
             platform.load(program)
             platform.uart.feed(attacker_input)
             return platform.run(max_instructions=200_000)

@@ -105,13 +105,15 @@ def test_iss_throughput_dift(benchmark):
     """DIFT ISS speed (the VP+ column's MIPS at microbenchmark scale)."""
     from repro.bench.workloads import benchmark_policy
     from repro.sw import primes
+    from repro.vp.config import PlatformConfig
     from repro.vp.platform import Platform
 
     benchmark.group = "iss-throughput"
     program = primes.build(limit=1500)
 
     def run():
-        platform = Platform(policy=benchmark_policy())
+        platform = Platform.from_config(
+            PlatformConfig(policy=benchmark_policy()))
         platform.load(program)
         return platform.run()
 

@@ -97,6 +97,16 @@ class _Pending:
     history: List[dict] = field(default_factory=list)
 
 
+def _flat(name: str) -> str:
+    """``name`` as one file-name component.
+
+    Job ids and workload names may embed path separators (dynamic
+    ``gen/<seed>/<variant>`` workloads); flattening them keeps every log
+    and snapshot directly in its directory.
+    """
+    return name.replace(os.sep, "_").replace("/", "_")
+
+
 def prepare_warm_snapshots(specs: List[JobSpec], snapshot_dir: str,
                            note: Callable[[str], None]) -> List[JobSpec]:
     """Boot each distinct platform configuration once and snapshot it.
@@ -132,8 +142,8 @@ def prepare_warm_snapshots(specs: List[JobSpec], snapshot_dir: str,
                 seed=spec.seed, engine_mode=RECORD)
             path = os.path.join(
                 snapshot_dir,
-                f"warm.{spec.workload}.{spec.policy}.{spec.dift_mode}"
-                f".s{spec.seed}.{spec.scale}.json")
+                f"warm.{_flat(spec.workload)}.{spec.policy}."
+                f"{spec.dift_mode}.s{spec.seed}.{spec.scale}.json")
             platform.save_snapshot(path)
             paths[key] = path
             note(f"warm  {os.path.basename(path)}")
@@ -213,11 +223,8 @@ def run_campaign(specs: List[JobSpec], jobs: int = 1,
     def launch(item: _Pending) -> None:
         spec = item.spec
         recv, send = ctx.Pipe(duplex=False)
-        # job ids may embed path separators (dynamic gen/... workloads):
-        # flatten them so every log lands directly in log_dir
-        safe_id = spec.job_id.replace(os.sep, "_").replace("/", "_")
         log_path = os.path.join(log_dir,
-                                f"{safe_id}.a{item.attempt}.log")
+                                f"{_flat(spec.job_id)}.a{item.attempt}.log")
         process = ctx.Process(
             target=child_main,
             args=(send, spec.to_dict(), item.attempt, log_path),

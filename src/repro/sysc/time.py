@@ -66,7 +66,12 @@ class SimTime:
     # -- arithmetic -------------------------------------------------------- #
 
     def __add__(self, other: "SimTime") -> "SimTime":
-        return SimTime(self.ps + other.ps)
+        # the sum of two non-negative integers needs neither rounding nor
+        # the sign check: build the result directly (this runs once per
+        # bus hop on every MMIO transaction)
+        total = object.__new__(SimTime)
+        total.ps = self.ps + other.ps
+        return total
 
     def __sub__(self, other: "SimTime") -> "SimTime":
         return SimTime(self.ps - other.ps)
@@ -106,3 +111,8 @@ class SimTime:
             if self.ps % unit == 0:
                 return f"SimTime({self.ps // unit} {suffix})"
         return f"SimTime({self.ps} ps)"
+
+
+#: Shared zero delay for transaction initiators.  ``SimTime`` arithmetic
+#: always returns a new object, so sharing one instance is safe.
+ZERO_TIME = SimTime(0)

@@ -19,6 +19,8 @@ Reproduces the parts of OSCI TLM-2.0 the VP uses:
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -37,7 +39,11 @@ GENERIC_ERROR = "generic-error"
 INCOMPLETE = "incomplete"
 
 
-@dataclass
+# ``slots=True`` needs Python 3.10; on 3.9 the payload keeps a __dict__
+_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
+
+
+@dataclass(**_SLOTS)
 class GenericPayload:
     """A TLM generic payload extended with per-byte security tags.
 
@@ -53,6 +59,9 @@ class GenericPayload:
     DMA gather over a partially tainted destination).  Targets without
     tag state ignore it; the memory updates ``tags`` in place to the
     merged result so the initiator sees what actually landed.
+
+    Transports on the MMIO hot path read ``command`` and ``len(data)``
+    directly; the accessors below are for everything else.
     """
 
     command: str = READ
@@ -78,24 +87,30 @@ class GenericPayload:
     @classmethod
     def make_read(cls, address: int, length: int, tagged: bool = False
                   ) -> "GenericPayload":
-        return cls(
-            command=READ,
-            address=address,
-            data=bytearray(length),
-            tags=bytearray(length) if tagged else None,
-        )
+        return cls(READ, address, bytearray(length),
+                   bytearray(length) if tagged else None)
 
     @classmethod
     def make_write(cls, address: int, data: bytes,
                    tags: Optional[bytes] = None,
                    merge_tags: bool = False) -> "GenericPayload":
-        return cls(
-            command=WRITE,
-            address=address,
-            data=bytearray(data),
-            tags=bytearray(tags) if tags is not None else None,
-            merge_tags=merge_tags,
-        )
+        return cls(WRITE, address, bytearray(data),
+                   bytearray(tags) if tags is not None else None,
+                   merge_tags)
+
+
+#: uniform tag strings are shared up to this length (register-sized
+#: accesses); longer bursts build theirs
+_UNIFORM_MAX = 8
+_UNIFORM = [[bytes([tag]) * length for tag in range(256)]
+            for length in range(_UNIFORM_MAX + 1)]
+
+
+def uniform_tags(tag: int, length: int) -> bytes:
+    """``length`` copies of ``tag`` (shared for register-sized lengths)."""
+    if length <= _UNIFORM_MAX:
+        return _UNIFORM[length][tag]
+    return bytes([tag]) * length
 
 
 TransportFn = Callable[[GenericPayload, SimTime], SimTime]
@@ -147,9 +162,6 @@ class MapEntry:
     socket: TargetSocket
     name: str
 
-    def __contains__(self, address: int) -> bool:
-        return self.start <= address < self.end
-
 
 class DmiRegion:
     """A granted direct-memory region (TLM DMI analogue).
@@ -182,13 +194,13 @@ class Router:
     def __init__(self, name: str = "bus", latency: SimTime = SimTime.ns(10)):
         self.name = name
         self.latency = latency
+        # decode table: entries sorted by start, and their starts for
+        # bisection (ranges never overlap, so the entry at or below an
+        # address is the only candidate)
         self._map: List[MapEntry] = []
+        self._starts: List[int] = []
         self._dmi_providers: dict = {}
         self.transactions_routed = 0
-        # MRU decode cache: MMIO traffic clusters on one target (a guest
-        # polling a peripheral), making the last entry the overwhelmingly
-        # likely hit before the linear scan
-        self._last_entry: Optional[MapEntry] = None
         # observability; None keeps routing free of metric lookups.  The
         # per-target counter dict is filled lazily because targets may be
         # mapped after attach.
@@ -217,7 +229,7 @@ class Router:
                 )
         self._map.append(MapEntry(start, end, socket, name or socket.name))
         self._map.sort(key=lambda e: e.start)
-        self._last_entry = None
+        self._starts = [entry.start for entry in self._map]
 
     def register_dmi(self, start: int, size: int, data: bytearray,
                      tags: Optional[bytearray] = None) -> None:
@@ -233,24 +245,23 @@ class Router:
 
     def decode(self, address: int) -> MapEntry:
         """Map entry covering ``address`` (raises BusError if unmapped)."""
-        last = self._last_entry
-        if last is not None and last.start <= address < last.end:
-            return last
-        for entry in self._map:
-            if address in entry:
-                self._last_entry = entry
+        index = bisect_right(self._starts, address) - 1
+        if index >= 0:
+            entry = self._map[index]
+            if address < entry.end:
                 return entry
         raise BusError(f"no target mapped at address {address:#010x}", address)
 
     def b_transport(self, payload: GenericPayload, delay: SimTime) -> SimTime:
         """Route a transaction to its target with address translation."""
-        entry = self.decode(payload.address)
-        if payload.address + payload.length > entry.end:
+        global_address = payload.address
+        entry = self.decode(global_address)
+        end = global_address + len(payload.data)
+        if end > entry.end:
             raise BusError(
-                f"transaction [{payload.address:#x}, "
-                f"{payload.address + payload.length:#x}) crosses the end of "
-                f"target {entry.name!r}",
-                payload.address,
+                f"transaction [{global_address:#x}, {end:#x}) crosses the "
+                f"end of target {entry.name!r}",
+                global_address,
             )
         self.transactions_routed += 1
         if self._metrics is not None:
@@ -260,7 +271,6 @@ class Router:
                     f"tlm.target.{entry.name}.transactions")
                 self._target_counters[entry.name] = counter
             counter.inc()
-        global_address = payload.address
         payload.address = global_address - entry.start
         try:
             return entry.socket.b_transport(payload, delay + self.latency)

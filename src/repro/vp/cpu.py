@@ -42,8 +42,9 @@ from repro.dift.liveness import TaintLiveness
 from repro.errors import BusError
 from repro.sysc.kernel import Kernel
 from repro.sysc.module import Module
-from repro.sysc.time import SimTime
-from repro.sysc.tlm import GenericPayload, InitiatorSocket
+from repro.sysc.time import ZERO_TIME, SimTime
+from repro.sysc.tlm import (READ, WRITE, GenericPayload, InitiatorSocket,
+                            uniform_tags)
 from repro.vp import csr as CSR
 from repro.vp import decode as D
 from repro.vp.csr import CsrFile
@@ -382,24 +383,29 @@ class Cpu(Module):
     # ------------------------------------------------------------------ #
 
     def _mmio_read(self, address: int, size: int) -> Tuple[int, int]:
-        payload = GenericPayload.make_read(address, size,
-                                           tagged=self.dift is not None)
-        self.isock.b_transport(payload, SimTime(0))
+        dift = self.dift
+        payload = GenericPayload(
+            READ, address, bytearray(size),
+            bytearray(size) if dift is not None else None)
+        self.isock.b_transport(payload, ZERO_TIME)
         if not payload.ok():
             raise BusError(f"MMIO read failed at {address:#010x}", address)
         value = int.from_bytes(payload.data, "little")
-        if self.dift is not None and payload.tags is not None:
-            tag = self.dift.lub_bytes(payload.tags)
+        if dift is not None and payload.tags is not None:
+            tag = dift.lub_bytes(payload.tags)
         else:
             tag = self._bottom
         return value, tag
 
     def _mmio_write(self, address: int, size: int, value: int,
                     tag: int) -> None:
-        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        tags = bytes([tag]) * size if self.dift is not None else None
-        payload = GenericPayload.make_write(address, data, tags)
-        self.isock.b_transport(payload, SimTime(0))
+        payload = GenericPayload(
+            WRITE, address,
+            bytearray((value & ((1 << (8 * size)) - 1)).to_bytes(
+                size, "little")),
+            bytearray(uniform_tags(tag, size)) if self.dift is not None
+            else None)
+        self.isock.b_transport(payload, ZERO_TIME)
         if not payload.ok():
             raise BusError(f"MMIO write failed at {address:#010x}", address)
 

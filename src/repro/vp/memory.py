@@ -16,7 +16,7 @@ from repro.state import decode_sparse_pages, encode_sparse_pages
 from repro.sysc.kernel import Kernel
 from repro.sysc.module import Module
 from repro.sysc.time import SimTime
-from repro.sysc.tlm import OK, GenericPayload, TargetSocket
+from repro.sysc.tlm import OK, READ, GenericPayload, TargetSocket, uniform_tags
 
 
 class Memory(Module):
@@ -71,11 +71,11 @@ class Memory(Module):
     def transport(self, trans: GenericPayload, delay: SimTime) -> SimTime:
         """TLM blocking transport (payload address is memory-local)."""
         address = trans.address
-        length = trans.length
+        length = len(trans.data)
         if address < 0 or address + length > self.size:
             trans.response = "address-error"
             return delay
-        if trans.is_read():
+        if trans.command == READ:
             trans.data[:] = self.data[address:address + length]
             if trans.tags is not None and self.tags is not None:
                 trans.tags[:] = self.tags[address:address + length]
@@ -113,7 +113,7 @@ class Memory(Module):
                         self._taint_listener(address, length, trans.tags)
                 else:
                     self.tags[address:address + length] = \
-                        bytes([self.default_tag]) * length
+                        uniform_tags(self.default_tag, length)
                     if self._taint_listener is not None:
                         self._taint_listener(address, length,
                                              self.default_tag)

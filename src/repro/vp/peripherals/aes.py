@@ -28,6 +28,7 @@ from typing import Optional, Tuple
 from repro.dift.engine import DiftEngine
 from repro.state import decode_bytes, encode_bytes
 from repro.sysc.kernel import Kernel
+from repro.sysc.tlm import uniform_tags
 from repro.vp.peripherals.aes_core import encrypt_block
 from repro.vp.peripherals.base import MmioPeripheral
 
@@ -113,7 +114,7 @@ class AesAccelerator(MmioPeripheral):
         (``"<name>.in"``) applies.
         """
         if tags is None or self.engine is None:
-            tags = bytes([self.default_tag]) * len(data)
+            tags = uniform_tags(self.default_tag, len(data))
         if KEY <= offset < KEY + 16:
             for i, (byte, tag) in enumerate(zip(data, tags)):
                 index = offset - KEY + i

@@ -19,7 +19,8 @@ from repro.dift.engine import DiftEngine
 from repro.sysc.kernel import Kernel
 from repro.sysc.module import Module
 from repro.sysc.time import SimTime
-from repro.sysc.tlm import OK, GenericPayload, TargetSocket
+from repro.sysc.tlm import (OK, READ, WRITE, GenericPayload, TargetSocket,
+                             uniform_tags)
 
 
 class MmioPeripheral(Module):
@@ -55,17 +56,18 @@ class MmioPeripheral(Module):
 
     def transport(self, trans: GenericPayload, delay: SimTime) -> SimTime:
         offset = trans.address
-        length = trans.length
+        length = len(trans.data)
         if offset < 0 or offset + length > self.size:
             trans.response = "address-error"
             return delay
-        if trans.is_read():
+        is_read = trans.command == READ
+        if is_read:
             value, tag = self.read(offset, length)
             trans.data[:] = (value & ((1 << (8 * length)) - 1)).to_bytes(
                 length, "little")
             if trans.tags is not None:
-                trans.tags[:] = bytes([tag]) * length
-        elif trans.is_write():
+                trans.tags[:] = uniform_tags(tag, length)
+        elif trans.command == WRITE:
             self.write_bytes(offset, bytes(trans.data),
                              bytes(trans.tags) if trans.tags is not None
                              else None)
@@ -74,10 +76,10 @@ class MmioPeripheral(Module):
             return delay
         trans.response = OK
         if self._m_reads is not None:
-            (self._m_reads if trans.is_read() else self._m_writes).inc()
+            (self._m_reads if is_read else self._m_writes).inc()
             if self._obs_tracer is not None:
                 self._obs_tracer.complete(
-                    f"{self.name}.{'rd' if trans.is_read() else 'wr'}",
+                    f"{self.name}.{'rd' if is_read else 'wr'}",
                     "tlm", ts=self._obs_tracer.clock(),
                     dur=self.access_delay.ps / 1e6,
                     args={"offset": offset, "length": length})

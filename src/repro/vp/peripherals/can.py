@@ -31,6 +31,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.dift.engine import DiftEngine
 from repro.state import decode_bytes, encode_bytes
 from repro.sysc.kernel import Kernel
+from repro.sysc.tlm import uniform_tags
 from repro.vp.peripherals.base import MmioPeripheral
 
 STATUS = 0x00
@@ -194,7 +195,7 @@ class CanController(MmioPeripheral):
             index = offset - TX_BUF
             data = value.to_bytes(size, "little")
             self.tx_buf[index:index + size] = data
-            self.tx_tags[index:index + size] = bytes([tag]) * size
+            self.tx_tags[index:index + size] = uniform_tags(tag, size)
 
     def _send(self) -> None:
         length = self.tx_len

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.dift.engine import DiftEngine
 from repro.sysc.kernel import Kernel
-from repro.sysc.time import SimTime
+from repro.sysc.time import ZERO_TIME, SimTime
 from repro.sysc.tlm import GenericPayload, Router
 from repro.vp.peripherals.base import MmioPeripheral
 
@@ -120,14 +120,13 @@ class DmaController(MmioPeripheral):
         chunk = min(self._remaining, BURST)
         tagged = self.engine is not None
         read = GenericPayload.make_read(self._cur_src, chunk, tagged=tagged)
-        self.router.b_transport(read, SimTime(0))
+        self.router.b_transport(read, ZERO_TIME)
         if not read.ok():
             return False
         write = GenericPayload.make_write(
-            self._cur_dst, bytes(read.data),
-            bytes(read.tags) if read.tags is not None else None,
+            self._cur_dst, read.data, read.tags,
             merge_tags=self.merge and read.tags is not None)
-        self.router.b_transport(write, SimTime(0))
+        self.router.b_transport(write, ZERO_TIME)
         if not write.ok():
             return False
         self._cur_src += chunk

@@ -35,6 +35,9 @@ IRQ_EN = 0x0C
 
 SIZE = 0x10
 
+#: clearance-check context of each transmitted byte value
+_TX_CONTEXT = tuple(f"byte={byte:#04x}" for byte in range(256))
+
 
 class Uart(MmioPeripheral):
     """A polled/interrupt-capable UART."""
@@ -50,6 +53,9 @@ class Uart(MmioPeripheral):
         self.irq_en = 0
         self._raise_irq = raise_irq
         self._rx_tag: Optional[int] = None  # resolved lazily from policy
+        # TX sink clearance, resolved from the policy on the first byte
+        self._tx_sink = f"{name}.tx"
+        self._tx_clearance: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # host side
@@ -110,10 +116,12 @@ class Uart(MmioPeripheral):
     def write(self, offset: int, size: int, value: int, tag: int) -> None:
         if offset == TXDATA:
             byte = value & 0xFF
-            if self.engine is not None:
-                allowed = self.engine.check_sink(
-                    f"{self.name}.tx", tag, context=f"byte={byte:#04x}")
-                if not allowed:
+            engine = self.engine
+            if engine is not None:
+                if self._tx_clearance is None:
+                    self._tx_clearance = engine.policy.sink_tag(self._tx_sink)
+                if not engine.check_flow(tag, self._tx_clearance,
+                                         self._tx_sink, _TX_CONTEXT[byte]):
                     self.blocked_tx += 1
                     return
             self.tx_log.append(byte)

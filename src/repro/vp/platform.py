@@ -24,7 +24,6 @@ exit code ``a0`` (other ecalls trap to ``mtvec`` if installed).
 from __future__ import annotations
 
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -124,23 +123,13 @@ class Platform:
     """A complete VP (plain) or VP+ (DIFT) instance.
 
     Construct with a :class:`~repro.vp.config.PlatformConfig` (either
-    positionally or via :meth:`from_config`); the historical keyword
-    form ``Platform(policy=..., quantum=...)`` still works but emits a
-    :class:`DeprecationWarning`.
+    positionally or via :meth:`from_config`); no config means the
+    defaults.
     """
 
-    def __init__(self, config: Optional[PlatformConfig] = None, **kwargs):
-        if config is not None and kwargs:
-            raise TypeError(
-                "pass either a PlatformConfig or keyword arguments, "
-                "not both")
+    def __init__(self, config: Optional[PlatformConfig] = None):
         if config is None:
-            if kwargs:
-                warnings.warn(
-                    "Platform(**kwargs) is deprecated; build a "
-                    "PlatformConfig and call Platform.from_config(cfg)",
-                    DeprecationWarning, stacklevel=2)
-            config = PlatformConfig(**kwargs)
+            config = PlatformConfig()
         self.config = config
         policy = config.policy
         obs = config.obs

@@ -10,6 +10,7 @@ from repro.campaign import (
     parse_matrix,
     run_campaign,
 )
+from repro.gen.campaign import make_matrix
 from repro.verify.replay import (
     REPLAY_MODES,
     format_report,
@@ -116,6 +117,22 @@ class TestWarmStart:
         assert len(result.records) == 2
         assert len(paths) == 1
         assert None not in paths
+
+    def test_generated_corpus_warm_aggregate_matches_cold(self, tmp_path):
+        # generated workloads are named gen/<seed>/<variant>: their
+        # snapshot files must not turn the slashes into directories
+        document = make_matrix(seed=5, count=2, max_instructions=20000)
+        aggregates = []
+        for warm_start in (False, True):
+            matrix = parse_matrix(document, source="<test>")
+            result = run_campaign(
+                matrix.jobs(), jobs=2, warm_start=warm_start,
+                log_dir=str(tmp_path / ("warm" if warm_start else "cold")))
+            assert result.all_ok, [r["status"] for r in result.records]
+            aggregates.append(deterministic_view(aggregate(result.records)))
+        assert len(result.records) == 8
+        assert all(record.job.snapshot for record in result.records)
+        assert aggregates[0] == aggregates[1]
 
     def test_matrix_warm_start_flag_parses(self):
         doc = dict(self.MATRIX, warm_start=True)

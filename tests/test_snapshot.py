@@ -156,11 +156,6 @@ class TestPlatformConfig:
         with pytest.raises(Exception):
             PlatformConfig().seed = 1   # type: ignore[misc]
 
-    def test_platform_kwargs_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="PlatformConfig"):
-            platform = Platform(policy=None, quantum=2048)
-        assert platform.config.quantum == 2048
-
     def test_from_config_does_not_warn(self, recwarn):
         Platform.from_config(PlatformConfig())
         assert not [w for w in recwarn.list

@@ -1,6 +1,8 @@
 """Tests for the TLM layer: payloads, sockets, routing, DMI."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BusError
 from repro.sysc import (
@@ -127,6 +129,91 @@ class TestRouter:
         assert entry.name == "ram"
         with pytest.raises(BusError):
             router.decode(0x50)
+
+
+#: a map as (gap before, size) pairs laid out upwards from a base; a zero
+#: gap makes two targets adjacent
+_layouts = st.tuples(
+    st.integers(0, 0x1000),
+    st.lists(st.tuples(st.integers(0, 0x40), st.integers(1, 0x40)),
+             min_size=1, max_size=10))
+
+
+def _build_map(layout):
+    base, pairs = layout
+    router = Router("bus", latency=SimTime.ns(10))
+    ranges = []
+    seen = []   # (target, local address) of every delivered transaction
+    start = base
+    for index, (gap, size) in enumerate(pairs):
+        start += gap
+        name = f"t{index}"
+        target = TargetSocket(name)
+
+        def transport(payload, delay, name=name):
+            seen.append((name, payload.address))
+            payload.response = OK
+            return delay + SimTime.ns(1)
+
+        target.register_b_transport(transport)
+        router.map_target(start, size, target, name)
+        ranges.append((start, start + size, name))
+        start += size
+    return router, ranges, seen
+
+
+def _probes(ranges):
+    """Every boundary of interest: each target's first and last byte and
+    their neighbours (gaps, adjacent starts), below the first target
+    and above the last."""
+    addresses = {0, ranges[0][0] - 1, ranges[-1][1], ranges[-1][1] + 0x100}
+    for start, end, __ in ranges:
+        addresses.update((start - 1, start, start + 1, end - 2, end - 1, end))
+    return sorted(a for a in addresses if a >= 0)
+
+
+def _reference_route(ranges, address, length):
+    """Linear-scan decode: the routed (name, local address), or the kind
+    of bus error."""
+    for start, end, name in ranges:
+        if start <= address < end:
+            if address + length > end:
+                return "crosses"
+            return name, address - start
+    return "no target"
+
+
+class TestRouterDecodeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_layouts, st.sampled_from([1, 2, 4, 8]))
+    def test_decode_matches_linear_scan(self, layout, length):
+        router, ranges, seen = _build_map(layout)
+        for address in _probes(ranges):
+            expected = _reference_route(ranges, address, length)
+            # decode alone: the covering entry or "no target"
+            covering = [name for start, end, name in ranges
+                        if start <= address < end]
+            if covering:
+                assert router.decode(address).name == covering[0]
+            else:
+                with pytest.raises(BusError, match="no target"):
+                    router.decode(address)
+            # a whole transaction: routing, translation, delay, errors
+            payload = GenericPayload.make_read(address, length)
+            before = router.transactions_routed
+            if isinstance(expected, str):
+                with pytest.raises(BusError, match=expected) as error:
+                    router.b_transport(payload, SimTime.ns(3))
+                assert error.value.address == address
+                assert router.transactions_routed == before
+                continue
+            delay = router.b_transport(payload, SimTime.ns(3))
+            assert delay == SimTime.ns(14)
+            assert payload.ok()
+            assert seen.pop() == expected
+            assert payload.address == address   # restored after routing
+            assert router.transactions_routed == before + 1
+        assert not seen
 
 
 class TestDmi:
