@@ -15,6 +15,7 @@ the iteration counts and keep the workload character).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
 from repro.asm.assembler import Program
@@ -135,7 +136,16 @@ def _default_policy(program: Program) -> SecurityPolicy:
     return benchmark_policy()
 
 
+#: Registry builds are memoized per scale for the process lifetime.
+#: Registry guests are pure functions of their scale, and nothing
+#: mutates a :class:`Program` once assembled, so every caller (the cache
+#: key, each DIFT mode, forked campaign workers) can share one.  Bounded
+#: by construction: two scales per registry workload.
+_once_per_scale = lru_cache(maxsize=2)
+
+
 def _simple(name, build_quick, build_full, **platform_kwargs) -> Workload:
+    @_once_per_scale
     def build(scale: str) -> Program:
         return build_quick() if scale == "quick" else build_full()
 
@@ -170,6 +180,7 @@ def _immo_platform_kwargs(scale: str) -> dict:
 
 
 def _make_immo() -> Workload:
+    @_once_per_scale
     def build(scale: str) -> Program:
         n = 40 if scale == "quick" else 400
         return immobilizer.build(variant="fixed", n_challenges=n)
@@ -185,6 +196,7 @@ def _make_immo() -> Workload:
 
 
 def _make_sensor() -> Workload:
+    @_once_per_scale
     def build(scale: str) -> Program:
         return sensor_app.build(n_frames=50 if scale == "quick" else 1000)
 

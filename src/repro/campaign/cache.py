@@ -59,9 +59,14 @@ def job_key(spec: JobSpec) -> str:
 
     Builds the guest program and platform config exactly the way the
     worker will (same registry call, same defaults) and hashes the
-    canonical JSON of ``{config, binary digest, budget axes}``.  Building
-    a program costs milliseconds of assembly — noise against the
-    simulation it can save.
+    canonical JSON of ``{config, binary digest, budget axes}``.  Guest
+    builds are memoized per process (registry workloads per scale,
+    generated cases per seed), so a matrix assembles each guest once:
+    assembly (a few milliseconds per generated case) would otherwise
+    cost as much as the short guests' simulation.  When a campaign uses
+    a result cache, its workers fork after the keys are computed and
+    inherit the built programs; without one (or for a job that is not
+    cacheable) each worker builds its own guest.
     """
     from repro.bench.workloads import get_workload
     from repro.dift.engine import RECORD

@@ -176,6 +176,10 @@ def run_campaign(specs: List[JobSpec], jobs: int = 1,
     record are served from disk (``timing.cached`` marks them), and
     fresh ok/failed results of cacheable jobs are stored back.  A fully
     cached campaign runs zero simulations and boots zero snapshots.
+    Keys are computed before the first worker forks, so the workers of
+    cacheable jobs inherit the guest programs the key computation built
+    and assemble nothing (with ``cache=None`` each worker builds its
+    own).
     ``on_record`` is invoked once per terminal record as it lands
     (cache hits first, then completions in finish order) — the CLI
     streams the JSONL through it so an interrupted campaign can resume.

@@ -30,9 +30,11 @@ corpus seed range across both DIFT modes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from repro.gen.generator import case_from_seed, iter_cases
+from repro.gen.spec import GeneratedAttack
 
 VARIANTS = ("attack", "benign")
 _PREFIX = "gen/"
@@ -68,12 +70,21 @@ def gen_name(case_seed: int, variant: str) -> str:
     return f"gen/{case_seed:08x}/{variant}"
 
 
+# Bounded (least recently resolved evicted first): a long-lived service
+# resolves an unbounded family of names.
+@lru_cache(maxsize=256)
+def _case(case_seed: int) -> GeneratedAttack:
+    """One shared case per seed, so the attack and benign twins and
+    both DIFT modes reuse its single assembled build."""
+    return case_from_seed(case_seed)
+
+
 def gen_workload(name: str):
     """Resolve a ``gen/...`` name into a Workload (used by get_workload)."""
     from repro.bench.workloads import Workload
 
     case_seed, variant = parse_gen_name(name)
-    case = case_from_seed(case_seed)
+    case = _case(case_seed)
     program, attack_input, benign_input = case.build()
     feed = attack_input if variant == "attack" else benign_input
 

@@ -168,6 +168,20 @@ class Histogram:
 # --------------------------------------------------------------------- #
 
 
+class _GroupMember:
+    """One lazy gauge of a :meth:`MetricsRegistry.set_gauge_group`."""
+
+    __slots__ = ("fn", "index")
+
+    def __init__(self, fn: Callable[[], Sequence[Union[int, float]]],
+                 index: int):
+        self.fn = fn
+        self.index = index
+
+    def __call__(self) -> Union[int, float]:
+        return self.fn()[self.index]
+
+
 class MetricsRegistry:
     """Name -> instrument registry with get-or-create semantics."""
 
@@ -197,6 +211,14 @@ class MetricsRegistry:
                      fn: Callable[[], Union[int, float]]) -> None:
         """Register a lazy gauge, evaluated only at snapshot time."""
         self._gauge_fns[name] = fn
+
+    def set_gauge_group(self, names: Sequence[str],
+                        fn: Callable[[], Sequence[Union[int, float]]]
+                        ) -> None:
+        """Register lazy gauges that share one evaluation: ``fn()[i]`` is
+        the value of ``names[i]``, and a snapshot calls ``fn`` once."""
+        for index, name in enumerate(names):
+            self._gauge_fns[name] = _GroupMember(fn, index)
 
     def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
         instrument = self._histograms.get(name)
@@ -281,8 +303,15 @@ class MetricsRegistry:
             out[name] = c.value
         for name, g in self._gauges.items():
             out[name] = g.value
+        groups: dict = {}
         for name, fn in self._gauge_fns.items():
-            out[name] = fn()
+            if type(fn) is _GroupMember:
+                values = groups.get(fn.fn)
+                if values is None:
+                    values = groups[fn.fn] = fn.fn()
+                out[name] = values[fn.index]
+            else:
+                out[name] = fn()
         for name, h in self._histograms.items():
             out[name] = h.to_dict()
         return dict(sorted(out.items()))

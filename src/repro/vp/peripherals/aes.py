@@ -58,8 +58,12 @@ class AesAccelerator(MmioPeripheral):
         self.blocked_writes = 0
         self.encryptions = 0
         self._declassify_to = declassify_to
+        self._in_sink = f"{name}.in"
         self._clearance: Optional[int] = (
-            engine.policy.sink_tag(f"{name}.in") if engine else None)
+            engine.policy.sink_tag(self._in_sink) if engine else None)
+        # per-position KEY sink ``(name, clearance)`` or None (fall back
+        # to the input clearance), resolved from the policy on first use
+        self._key_sinks: Optional[Tuple[Optional[Tuple[str, int]], ...]] = None
 
     # ------------------------------------------------------------------ #
     # checkpoint / restore
@@ -147,22 +151,31 @@ class AesAccelerator(MmioPeripheral):
         plaintext port accepts low-integrity data (challenges arrive from
         the outside world by design).
         """
-        if self.engine is None:
+        engine = self.engine
+        if engine is None:
             return True
-        policy = self.engine.policy
+        if self._key_sinks is None:
+            self._key_sinks = tuple(
+                self._key_sink(engine.policy, i) for i in range(16))
+        sink = self._key_sinks[index]
+        if sink is None:
+            return self._admit(tag)
+        if engine.check_flow(tag, sink[1], sink[0]):
+            return True
+        self.blocked_writes += 1
+        return False
+
+    def _key_sink(self, policy, index: int) -> Optional[Tuple[str, int]]:
         for sink in (f"{self.name}.key{index}", f"{self.name}.key"):
             if policy.has_sink(sink):
-                if self.engine.check_sink(sink, tag):
-                    return True
-                self.blocked_writes += 1
-                return False
-        return self._admit(tag)
+                return sink, policy.sink_tag(sink)
+        return None
 
     def _admit(self, tag: int) -> bool:
         """Clearance check on data entering the crypto engine."""
         if self.engine is None or self._clearance is None:
             return True
-        if self.engine.check_sink(f"{self.name}.in", tag):
+        if self.engine.check_flow(tag, self._clearance, self._in_sink):
             return True
         self.blocked_writes += 1
         return False

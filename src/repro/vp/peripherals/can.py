@@ -45,6 +45,9 @@ RX_BUF = 0x40
 SIZE = 0x48
 MAX_FRAME = 8
 
+#: clearance-check context of each transmitted frame byte position
+_TX_CONTEXT = tuple(f"frame byte {i}" for i in range(MAX_FRAME))
+
 
 @dataclass
 class CanFrame:
@@ -117,6 +120,9 @@ class CanController(MmioPeripheral):
         self._rx: List[CanFrame] = []
         self.sent: List[CanFrame] = []
         self.blocked_tx = 0
+        # TX sink clearance, resolved from the policy on the first send
+        self._tx_sink = f"{name}.tx"
+        self._tx_clearance: Optional[int] = None
         if bus is not None:
             bus.attach(name, self.receive)
 
@@ -201,10 +207,13 @@ class CanController(MmioPeripheral):
         length = self.tx_len
         data = bytes(self.tx_buf[:length])
         tags = bytes(self.tx_tags[:length])
-        if self.engine is not None:
+        engine = self.engine
+        if engine is not None:
+            if self._tx_clearance is None:
+                self._tx_clearance = engine.policy.sink_tag(self._tx_sink)
             for i, tag in enumerate(tags):
-                if not self.engine.check_sink(
-                        f"{self.name}.tx", tag, context=f"frame byte {i}"):
+                if not engine.check_flow(tag, self._tx_clearance,
+                                         self._tx_sink, _TX_CONTEXT[i]):
                     self.blocked_tx += 1
                     return
         frame = CanFrame(data, tags, sender=self.name)

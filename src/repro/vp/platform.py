@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import state as state_mod
 from repro.asm.assembler import Program
@@ -37,6 +37,7 @@ from repro.dift.events import (
     EventWriter,
     make_header,
 )
+from repro.dift.liveness import PAGE_SIZE
 from repro.dift.monitor import DiftMonitor
 from repro.policy.policy import SecurityPolicy
 from repro.state import SnapshotError
@@ -79,6 +80,10 @@ DMA_BASE = 0x1000_4000
 STACK_TOP = RAM_BASE + RAM_SIZE - 16
 
 SYS_EXIT = 93
+
+#: RAM-shadow span the taint-spread gauges settle with one memcmp when
+#: it holds a single tag (16 pages)
+_SPREAD_CHUNK = 64 * 1024
 
 
 @dataclass
@@ -364,11 +369,11 @@ class Platform:
             metrics.set_gauge_fn("engine.violations",
                                  lambda: engine.violation_count)
             metrics.set_gauge_fn("taint.tagged_regs", self._tagged_regs)
-            metrics.set_gauge_fn("taint.tagged_mem_bytes",
-                                 self._tagged_mem_bytes)
-            metrics.set_gauge_fn("taint.mem_spread_ratio",
-                                 self._mem_spread_ratio)
+            spread = ["taint.tagged_mem_bytes", "taint.mem_spread_ratio"]
             live = self.cpu.liveness
+            if live is not None:
+                spread.append("shadow.tainted_pages")
+            metrics.set_gauge_group(spread, self._taint_spread)
             if live is not None:
                 metrics.set_gauge_fn("dift.fast_steps",
                                      lambda: live.fast_steps)
@@ -378,8 +383,6 @@ class Platform:
                                      lambda: live.reclaims)
                 metrics.set_gauge_fn("dift.reclaim_skipped_pages",
                                      lambda: live.reclaim_skipped_pages)
-                metrics.set_gauge_fn("shadow.tainted_pages",
-                                     self._tainted_pages)
                 # level-1 summary cardinality over the flat RAM shadow:
                 # pages the liveness layer currently tracks as
                 # maybe-tainted (the live analogue of ShadowTags'
@@ -437,33 +440,43 @@ class Platform:
                 else self.cpu.tags)
         return sum(1 for tag in tags if tag != bottom)
 
-    def _tagged_mem_bytes(self) -> int:
-        # Spread is measured against the policy *default* classification:
-        # bytes the guest (or a peripheral) re-tagged away from it.
-        tags = self.memory.tags
-        if tags is None:
-            return 0
-        return len(tags) - tags.count(self.engine.default_tag)
+    def _taint_spread(self) -> Tuple[int, float, int]:
+        """``(tagged bytes, spread ratio, tainted pages)`` of the RAM
+        shadow in one pass.
 
-    def _mem_spread_ratio(self) -> float:
+        Tagged bytes are those the guest (or a peripheral) re-tagged away
+        from the policy *default* classification, and the ratio is their
+        share of RAM; tainted pages are the :data:`PAGE_SIZE` pages
+        holding at least one above-bottom tag.  A full
+        :data:`_SPREAD_CHUNK` that is uniformly the default tag is settled
+        by one memcmp; only the other chunks are counted, page by page.
+        """
         tags = self.memory.tags
         if not tags:
-            return 0.0
-        return self._tagged_mem_bytes() / len(tags)
-
-    def _tainted_pages(self) -> int:
-        """RAM pages holding at least one above-bottom tag (lazy scan)."""
-        tags = self.memory.tags
-        if tags is None:
-            return 0
+            return 0, 0.0, 0
+        default = self.engine.default_tag
         bottom = self.engine.bottom_tag
+        default_chunk = bytes((default,)) * _SPREAD_CHUNK
+        # pages a chunk uniformly at the default tag holds above bottom
+        default_pages = (_SPREAD_CHUNK // PAGE_SIZE
+                         if default != bottom else 0)
         size = len(tags)
-        count = 0
-        for start in range(0, size, 4096):
-            end = min(start + 4096, size)
-            if tags.count(bottom, start, end) != end - start:
-                count += 1
-        return count
+        tagged = pages = 0
+        for chunk in range(0, size, _SPREAD_CHUNK):
+            if (chunk + _SPREAD_CHUNK <= size
+                    and tags.startswith(default_chunk, chunk)):
+                pages += default_pages
+                continue
+            for start in range(chunk, min(chunk + _SPREAD_CHUNK, size),
+                               PAGE_SIZE):
+                end = min(start + PAGE_SIZE, size)
+                clean = tags.count(default, start, end)
+                tagged += end - start - clean
+                if default != bottom:
+                    clean = tags.count(bottom, start, end)
+                if clean != end - start:
+                    pages += 1
+        return tagged, tagged / size, pages
 
     def detach_cpu_process(self) -> None:
         """Remove the CPU from kernel scheduling (external drivers only).

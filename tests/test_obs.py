@@ -121,6 +121,24 @@ class TestRegistry:
         assert list(snap) == sorted(snap)
         assert "lazy" in r and len(r) == 3
 
+    def test_gauge_group_evaluated_once_per_snapshot(self):
+        r = MetricsRegistry()
+        calls = []
+
+        def spread():
+            calls.append(1)
+            return 3, 0.5, 7
+
+        r.set_gauge_group(["b", "a"], spread)
+        snap = r.snapshot()
+        assert (snap["b"], snap["a"]) == (3, 0.5)
+        assert "c" not in snap and list(snap) == sorted(snap)
+        assert len(calls) == 1
+        r.snapshot()
+        assert len(calls) == 2
+        assert r.value("a") == 0.5 and len(calls) == 3
+        assert "a" in r and len(r) == 2
+
     def test_value_unknown_name(self):
         with pytest.raises(KeyError):
             MetricsRegistry().value("nope")
